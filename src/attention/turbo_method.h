@@ -3,6 +3,7 @@
 
 #include "attention/method.h"
 #include "attention/turbo.h"
+#include "kernels/fused_decode.h"
 #include "kvcache/quantized_kv_cache.h"
 #include "quant/types.h"
 #include "softmax/sas.h"
@@ -42,6 +43,8 @@ class TurboKvAttention final : public KvAttention {
   TurboMethodConfig config_;
   Sas sas_;
   QuantizedKvCache cache_;
+  // Reused by every decode/attend call on this head.
+  FusedDecodeScratch scratch_;
   // SAS-only ablation keeps an FP16 cache instead of the quantized one.
   MatrixF k_fp16_;
   MatrixF v_fp16_;

@@ -119,11 +119,15 @@ TurboPrefillResult turbo_attention_prefill(const MatrixF& q, const MatrixF& k,
         const float alpha =
             m_run[r] == kNegInf ? 0.0f : sas.exp_neg(m_run[r] - m_new);
 
-        float row_sum = 0.0f;
+        // m_new is finite here, so masked (-inf) scores stay -inf after
+        // the shift and SAS maps them to exactly 0.
+        const std::span<float> p_row = p_tile.row(r).first(k_rows);
         for (std::size_t c = 0; c < k_rows; ++c) {
-          const float s = s_tile(r, c);
-          const float p = s == kNegInf ? 0.0f : sas.exp_neg(s - m_new);
-          p_tile(r, c) = p;
+          p_row[c] = s_tile(r, c) - m_new;
+        }
+        sas.apply(p_row);
+        float row_sum = 0.0f;
+        for (const float p : p_row) {
           row_sum += p;
           p_max = std::max(p_max, p);
         }

@@ -77,9 +77,42 @@ float half_bits_to_float(std::uint16_t h) {
   return std::bit_cast<float>(out);
 }
 
-void round_span_to_fp16(std::span<float> values) {
+void round_span_to_fp16_soft(std::span<float> values) {
   for (float& v : values) {
-    v = round_to_fp16(v);
+    v = round_to_fp16_soft(v);
+  }
+}
+
+#if TURBO_X86
+__attribute__((target("f16c"))) void round_span_to_fp16_f16c(
+    std::span<float> values) {
+  float* p = values.data();
+  const std::size_t n = values.size();
+  const __m256 sign = _mm256_set1_ps(-0.0f);
+  const __m256 qnan = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fc00000));
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 x = _mm256_loadu_ps(p + i);
+    const __m256 r = _mm256_cvtph_ps(
+        _mm256_cvtps_ph(x, _MM_FROUND_TO_NEAREST_INT));
+    // canonical_fp16_nan, lane-wise.
+    const __m256 nan = _mm256_cmp_ps(x, x, _CMP_UNORD_Q);
+    const __m256 canon = _mm256_or_ps(_mm256_and_ps(x, sign), qnan);
+    _mm256_storeu_ps(p + i, _mm256_blendv_ps(r, canon, nan));
+  }
+  for (; i < n; ++i) p[i] = round_to_fp16_f16c(p[i]);
+}
+#else
+void round_span_to_fp16_f16c(std::span<float> values) {
+  round_span_to_fp16_soft(values);
+}
+#endif
+
+void round_span_to_fp16(std::span<float> values) {
+  if (cpu_has_f16c()) {
+    round_span_to_fp16_f16c(values);
+  } else {
+    round_span_to_fp16_soft(values);
   }
 }
 

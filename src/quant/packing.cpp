@@ -31,10 +31,45 @@ std::vector<std::uint8_t> pack_codes(std::span<const std::uint8_t> codes,
   return out;
 }
 
-void unpack_codes(std::span<const std::uint8_t> packed, BitWidth bits,
-                  std::size_t count, std::span<std::uint8_t> out) {
+namespace {
+
+// Widths whose codes never straddle a byte: 8 / B codes per byte, code j
+// of a byte in bits [j * B, (j + 1) * B).
+template <unsigned B>
+void unpack_whole_bytes(const std::uint8_t* packed, std::size_t count,
+                        std::uint8_t* out) {
+  constexpr std::size_t kPerByte = 8 / B;
+  constexpr unsigned kMask = (1u << B) - 1u;
+  const std::size_t full = count / kPerByte;
+  for (std::size_t i = 0; i < full; ++i) {
+    const unsigned byte = packed[i];
+    for (std::size_t j = 0; j < kPerByte; ++j) {
+      out[i * kPerByte + j] = trunc_to_u8((byte >> (j * B)) & kMask);
+    }
+  }
+  // Tail: the first `rest` codes of the last, partial byte. It exists
+  // exactly when packed_byte_count(count) == full + 1.
+  const std::size_t rest = count - full * kPerByte;
+  if (rest > 0) {
+    const unsigned byte = packed[full];
+    for (std::size_t j = 0; j < rest; ++j) {
+      out[full * kPerByte + j] = trunc_to_u8((byte >> (j * B)) & kMask);
+    }
+  }
+}
+
+void check_unpack_args(std::span<const std::uint8_t> packed, BitWidth bits,
+                       std::size_t count, std::span<std::uint8_t> out) {
   TURBO_CHECK(out.size() >= count);
   TURBO_CHECK(packed.size() >= packed_byte_count(count, bits));
+}
+
+}  // namespace
+
+void unpack_codes_bitwise(std::span<const std::uint8_t> packed,
+                          BitWidth bits, std::size_t count,
+                          std::span<std::uint8_t> out) {
+  check_unpack_args(packed, bits, count, out);
   const int b = bit_count(bits);
   const std::uint8_t mask = trunc_to_u8((1u << static_cast<unsigned>(b)) - 1u);
   std::size_t bitpos = 0;
@@ -47,6 +82,23 @@ void unpack_codes(std::span<const std::uint8_t> packed, BitWidth bits,
     }
     out[i] = trunc_to_u8(v & mask);
     bitpos += static_cast<std::size_t>(b);
+  }
+}
+
+void unpack_codes(std::span<const std::uint8_t> packed, BitWidth bits,
+                  std::size_t count, std::span<std::uint8_t> out) {
+  switch (bits) {
+    case BitWidth::kInt4:
+      check_unpack_args(packed, bits, count, out);
+      unpack_whole_bytes<4>(packed.data(), count, out.data());
+      return;
+    case BitWidth::kInt2:
+      check_unpack_args(packed, bits, count, out);
+      unpack_whole_bytes<2>(packed.data(), count, out.data());
+      return;
+    default:
+      unpack_codes_bitwise(packed, bits, count, out);
+      return;
   }
 }
 

@@ -21,9 +21,17 @@ std::size_t packed_byte_count(std::size_t count, BitWidth bits);
 std::vector<std::uint8_t> pack_codes(std::span<const std::uint8_t> codes,
                                      BitWidth bits);
 
-// Unpack `count` codes from a packed buffer.
+// Unpack `count` codes from a packed buffer. INT4 and INT2 run a
+// whole-byte loop (every code of a byte per step, then a tail of the
+// last partial byte); INT3 runs the general bit-position loop.
 void unpack_codes(std::span<const std::uint8_t> packed, BitWidth bits,
                   std::size_t count, std::span<std::uint8_t> out);
+
+// The general bit-position loop, for every width: the reference the
+// whole-byte loops are tested against.
+void unpack_codes_bitwise(std::span<const std::uint8_t> packed,
+                          BitWidth bits, std::size_t count,
+                          std::span<std::uint8_t> out);
 
 std::vector<std::uint8_t> unpack_codes(std::span<const std::uint8_t> packed,
                                        BitWidth bits, std::size_t count);

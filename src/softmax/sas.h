@@ -17,6 +17,13 @@
 // tail of attention scores (their true value is < e^-6 ~= 0.0025).
 // All arithmetic optionally rounds through FP16 to model tensor-core
 // execution.
+//
+// The FP16 rounding runs on the F16C instructions when the CPU has them,
+// and apply() runs 8 lanes at a time when it also has AVX2. Each path
+// returns the software path's bits for every input (tests/sas_test.cpp
+// holds them to it), so the path is picked at construction from the CPU
+// alone. No path enables FMA: contracting a multiply-add would change the
+// bits.
 #pragma once
 
 #include <span>
@@ -52,13 +59,28 @@ class Sas {
   // an FP16 MAC chain).
   static float poly_fp16(float t);
 
+  // Implementations of exp_neg/apply, slowest first. kReference is the
+  // portable software path and the oracle; kF16c rounds with F16C;
+  // kAvx2 also runs apply() 8 lanes at a time (default threshold range
+  // only: the LUT must fit one 8-lane register).
+  enum class Path { kReference, kF16c, kAvx2 };
+
+  // The fastest path this CPU and config support; exp_neg/apply use it.
+  Path path() const { return path_; }
+
   // Approximate e^x for x <= 0. Values below the threshold return 0.
   // (Inputs slightly above 0 can occur from FP16 rounding of the shifted
-  // scores; they are clamped to 0.)
-  float exp_neg(float x) const;
+  // scores; they are clamped to 0.) A NaN input returns the quiet NaN
+  // std::numeric_limits<float>::quiet_NaN() on every path.
+  float exp_neg(float x) const { return exp_neg(x, path_); }
 
   // Apply exp_neg element-wise in place.
-  void apply(std::span<float> values) const;
+  void apply(std::span<float> values) const { apply(values, path_); }
+
+  // Same on an explicit path, so tests can compare paths. `path` must not
+  // be faster than path() (the CPU or the config may not support it).
+  float exp_neg(float x, Path path) const;
+  void apply(std::span<float> values, Path path) const;
 
   // Full Algorithm 3: row-shift by max, sparsify, LUT x POLY, renormalize.
   MatrixF softmax(const MatrixF& scores) const;
@@ -67,8 +89,12 @@ class Sas {
   std::span<const float> lut() const { return lut_; }
 
  private:
+  float exp_neg_f16c(float x) const;
+  void apply_avx2(std::span<float> values) const;
+
   SasConfig config_;
   std::vector<float> lut_;
+  Path path_ = Path::kReference;
 };
 
 }  // namespace turbo

@@ -1,10 +1,16 @@
 #include "common/fp16.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/cpu_features.h"
 #include "common/rng.h"
 
 namespace turbo {
@@ -80,8 +86,30 @@ TEST(Fp16Test, RelativeErrorBound) {
 }
 
 TEST(Fp16Test, NanPropagates) {
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_TRUE(std::isnan(round_to_fp16(nan)));
+  // Every NaN rounds to the one canonical NaN of its sign: quiet, no
+  // payload. Signalling NaNs and payload bits must not leak through on
+  // either path (F16C would keep the payload's top bits).
+  for (const std::uint32_t bits :
+       {0x7fc00000u, 0x7f800001u, 0x7fa00000u, 0x7fffffffu, 0x7fc12345u,
+        0xffc00000u, 0xff800001u, 0xffffffffu}) {
+    const float nan = std::bit_cast<float>(bits);
+    const std::uint32_t sign = bits & 0x80000000u;
+    SCOPED_TRACE(::testing::Message() << "input 0x" << std::hex << bits);
+    EXPECT_EQ(float_to_half_bits(nan), (sign >> 16) | 0x7e00u);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(round_to_fp16(nan)),
+              sign | 0x7fc00000u);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(round_to_fp16_soft(nan)),
+              sign | 0x7fc00000u);
+    std::vector<float> span(11, nan);
+    round_span_to_fp16(span);
+    for (const float v : span) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(v), sign | 0x7fc00000u);
+    }
+    if (cpu_has_f16c()) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(round_to_fp16_f16c(nan)),
+                sign | 0x7fc00000u);
+    }
+  }
 }
 
 TEST(Fp16Test, InfinityPropagates) {
@@ -116,6 +144,69 @@ TEST(Fp16Test, RoundSpanInPlace) {
   for (float x : v) {
     EXPECT_EQ(x, round_to_fp16(x));  // idempotent
   }
+}
+
+// --- F16C path parity ------------------------------------------------------
+
+// Inputs for the parity tests: a strided sweep of all 2^32 float bit
+// patterns, plus every pattern of the top 19 bits with the low 13 bits
+// just below, on and above a binary16 rounding tie (the bits F16C and the
+// software encoder could disagree on).
+std::vector<std::uint32_t> parity_inputs() {
+  std::vector<std::uint32_t> in;
+  constexpr std::uint64_t kStride = 4093;  // prime: hits every low-bit mix
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += kStride) {
+    in.push_back(static_cast<std::uint32_t>(b));
+  }
+  for (std::uint32_t hi = 0; hi < (1u << 19); ++hi) {
+    for (const std::uint32_t lo : {0x0fffu, 0x1000u, 0x1001u}) {
+      in.push_back((hi << 13) | lo);
+    }
+  }
+  in.push_back(0xffffffffu);
+  return in;
+}
+
+TEST(Fp16F16cTest, ScalarMatchesSoftwareBitForBit) {
+  if (!cpu_has_f16c()) GTEST_SKIP() << "CPU lacks F16C";
+  std::size_t mismatches = 0;
+  for (const std::uint32_t bits : parity_inputs()) {
+    const float f = std::bit_cast<float>(bits);
+    const std::uint32_t soft = std::bit_cast<std::uint32_t>(round_to_fp16_soft(f));
+    const std::uint32_t hw = std::bit_cast<std::uint32_t>(round_to_fp16_f16c(f));
+    if (soft != hw && ++mismatches <= 10) {
+      ADD_FAILURE() << "input 0x" << std::hex << bits << ": software 0x"
+                    << soft << ", F16C 0x" << hw;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Fp16F16cTest, SpanMatchesSoftwareBitForBit) {
+  if (!cpu_has_f16c()) GTEST_SKIP() << "CPU lacks F16C";
+  const std::vector<std::uint32_t> in = parity_inputs();
+  std::vector<float> soft(in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    soft[i] = std::bit_cast<float>(in[i]);
+  }
+  std::vector<float> hw = soft;
+  round_span_to_fp16_soft(soft);
+  // Ragged chunk lengths exercise the 8-lane body and the scalar tail.
+  std::size_t pos = 0;
+  for (std::size_t len = 0; pos < hw.size(); len = (len + 1) % 20) {
+    const std::size_t n = std::min(len, hw.size() - pos);
+    round_span_to_fp16_f16c(std::span<float>(hw).subspan(pos, n));
+    pos += n;
+  }
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(soft[i]) !=
+            std::bit_cast<std::uint32_t>(hw[i]) &&
+        ++mismatches <= 10) {
+      ADD_FAILURE() << "input 0x" << std::hex << in[i];
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 }  // namespace

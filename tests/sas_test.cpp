@@ -1,12 +1,18 @@
 #include "softmax/sas.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-
+#include "common/cpu_features.h"
+#include "common/fp16.h"
 #include "common/stats.h"
 #include "softmax/softmax.h"
 #include "tests/test_util.h"
@@ -210,6 +216,124 @@ TEST_P(SasThresholdSweep, TighterThresholdLargerError) {
 
 INSTANTIATE_TEST_SUITE_P(Thresholds, SasThresholdSweep,
                          ::testing::Values(-4, -6, -8, -12));
+
+TEST(SasTest, NanInputReturnsQuietNan) {
+  // Every config and path maps a NaN score to the same quiet NaN, so it
+  // propagates into the row sum instead of indexing the LUT.
+  const std::uint32_t qnan =
+      std::bit_cast<std::uint32_t>(std::numeric_limits<float>::quiet_NaN());
+  for (const SasConfig config :
+       {SasConfig{}, SasConfig{.fp16_arithmetic = false},
+        SasConfig{.exact_exp = true}, SasConfig{.threshold = -12}}) {
+    const Sas sas(config);
+    for (const std::uint32_t bits :
+         {0x7fc00000u, 0xffc00000u, 0x7f800001u, 0x7fc12345u}) {
+      const float nan = std::bit_cast<float>(bits);
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(sas.exp_neg(nan)), qnan);
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(
+                    sas.exp_neg(nan, Sas::Path::kReference)),
+                qnan);
+      std::vector<float> span(9, nan);
+      sas.apply(span);
+      for (const float v : span) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(v), qnan);
+      }
+    }
+  }
+}
+
+TEST(SasTest, PathFollowsCpuAndConfig) {
+  // Without FP16 rounding there is nothing to accelerate.
+  EXPECT_EQ(Sas(SasConfig{.fp16_arithmetic = false}).path(),
+            Sas::Path::kReference);
+  EXPECT_EQ(Sas(SasConfig{.exact_exp = true}).path(), Sas::Path::kReference);
+  if (!cpu_has_f16c()) {
+    EXPECT_EQ(Sas().path(), Sas::Path::kReference);
+    return;
+  }
+  // The 8-lane path needs AVX2 and a LUT (|threshold| + 2) of <= 8.
+  const Sas::Path wide =
+      cpu_has_avx2() ? Sas::Path::kAvx2 : Sas::Path::kF16c;
+  EXPECT_EQ(Sas(SasConfig{.threshold = -6}).path(), wide);
+  EXPECT_EQ(Sas(SasConfig{.threshold = -1}).path(), wide);
+  EXPECT_EQ(Sas(SasConfig{.threshold = -7}).path(), Sas::Path::kF16c);
+}
+
+// --- Path parity ------------------------------------------------------------
+
+// Scores that hit every fp16 fractional part in every LUT bucket
+// (including the sentinel bucket past the threshold), plus the edges:
+// the threshold and one ULP either side, x > 0, signed zeros, infinities.
+std::vector<float> parity_scores(int threshold) {
+  std::vector<float> x;
+  const int buckets = -threshold + 2;
+  for (int b = 0; b < buckets; ++b) {
+    for (std::uint32_t h = 0; h < 0x3c00u; ++h) {  // fp16 values in [0, 1)
+      const float frac = half_bits_to_float(static_cast<std::uint16_t>(h));
+      x.push_back(-(static_cast<float>(b) + frac));
+    }
+  }
+  const float thr = static_cast<float>(threshold);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float v :
+       {thr, std::nextafter(thr, -inf), std::nextafter(thr, inf), 0.0f,
+        -0.0f, 1e-7f, 0.001f, 3.5f, 1e30f, inf, -inf,
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(), -1e30f}) {
+    x.push_back(v);
+  }
+  return x;
+}
+
+void expect_same_bits(std::span<const float> want, std::span<const float> got,
+                      std::span<const float> in, const char* path) {
+  ASSERT_EQ(want.size(), got.size());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(want[i]) !=
+            std::bit_cast<std::uint32_t>(got[i]) &&
+        ++mismatches <= 10) {
+      ADD_FAILURE() << path << ": x=" << in[i] << " reference " << want[i]
+                    << ", got " << got[i];
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << path;
+}
+
+class SasPathParity : public ::testing::TestWithParam<int> {};
+
+TEST_P(SasPathParity, FastPathsMatchReferenceBitForBit) {
+  if (!cpu_has_f16c()) GTEST_SKIP() << "CPU lacks F16C";
+  const Sas sas(SasConfig{.threshold = GetParam()});
+  const std::vector<float> x = parity_scores(GetParam());
+  std::vector<float> want(x.size());
+  std::vector<float> scalar(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    want[i] = sas.exp_neg(x[i], Sas::Path::kReference);
+    scalar[i] = sas.exp_neg(x[i], Sas::Path::kF16c);
+  }
+  expect_same_bits(want, scalar, x, "F16C exp_neg");
+
+  std::vector<float> reference_apply = x;
+  sas.apply(reference_apply, Sas::Path::kReference);
+  expect_same_bits(want, reference_apply, x, "reference apply");
+
+  // The widest path this CPU runs, over ragged chunks so that both the
+  // 8-lane body and the scalar tail see every kind of input.
+  std::vector<float> fast = x;
+  std::size_t pos = 0;
+  for (std::size_t len = 0; pos < fast.size(); len = (len + 3) % 29) {
+    const std::size_t n = std::min(len, fast.size() - pos);
+    sas.apply(std::span<float>(fast).subspan(pos, n));
+    pos += n;
+  }
+  expect_same_bits(want, fast, x, "apply");
+}
+
+// -6 is the paper default (AVX2 path); -1 and -4 also fit one register;
+// -7 and -12 do not and stay on the scalar F16C path.
+INSTANTIATE_TEST_SUITE_P(Thresholds, SasPathParity,
+                         ::testing::Values(-1, -4, -6, -7, -12));
 
 TEST(SasTest, InvalidThresholdThrows) {
   EXPECT_THROW(Sas(SasConfig{.threshold = 0}), CheckError);

@@ -26,6 +26,10 @@
 #                             # all three builds (crash faults, snapshot
 #                             # restore, chaos harness) plus a cross-lane
 #                             # diff of a seeded chaos run
+#   tools/check.sh kernels    # kernel parity suite (ctest -L kernels) in
+#                             # all three builds (F16C fp16/SAS, whole-byte
+#                             # unpack and fused decode vs their reference
+#                             # paths, bit for bit)
 #   tools/check.sh lint       # just turbo_lint
 #   tools/check.sh tidy       # just clang-tidy (skipped when not installed)
 #
@@ -42,9 +46,9 @@ FAILED=0
 
 for s in "${STAGES[@]}"; do
   case "$s" in
-    all|release|asan|tsan|fault|serving|slo|tier|fleet|prefix|disagg|chaos|lint|tidy) ;;
+    all|release|asan|tsan|fault|serving|slo|tier|fleet|prefix|disagg|chaos|kernels|lint|tidy) ;;
     *)
-      echo "check.sh: unknown stage '$s' (expected: release asan tsan fault serving slo tier fleet prefix disagg chaos lint tidy)" >&2
+      echo "check.sh: unknown stage '$s' (expected: release asan tsan fault serving slo tier fleet prefix disagg chaos kernels lint tidy)" >&2
       exit 2
       ;;
   esac
@@ -229,6 +233,24 @@ run_chaos() {
   echo "chaos: seeded chaos run is byte-identical across all three lanes"
 }
 
+run_kernels() {
+  banner "kernels: parity suite (fast paths vs reference paths, all builds)"
+  # Each fast path (F16C rounding, F16C/AVX2 SAS, whole-byte unpack, the
+  # fused decode kernel behind TurboKvAttention) must return its
+  # reference path's bits. ASan checks the unpack tail reads nothing past
+  # the packed buffer; TSan covers the per-method scratch.
+  local targets=(fp16_test sas_test packing_test fused_decode_test)
+  cmake --preset release || return 1
+  cmake --build --preset release -j "$JOBS" --target "${targets[@]}" || return 1
+  ctest --test-dir build-release -L kernels --output-on-failure || return 1
+  cmake --preset debug-asan-ubsan || return 1
+  cmake --build --preset debug-asan-ubsan -j "$JOBS" --target "${targets[@]}" || return 1
+  ctest --test-dir build-asan-ubsan -L kernels --output-on-failure || return 1
+  cmake --preset debug-tsan || return 1
+  cmake --build --preset debug-tsan -j "$JOBS" --target "${targets[@]}" || return 1
+  ctest --test-dir build-tsan -L kernels --output-on-failure || return 1
+}
+
 run_lint() {
   banner "lint: turbo_lint determinism + quant-invariant rules (14 rules)"
   # Reuse whichever configured build dir already has the lint binary;
@@ -272,6 +294,7 @@ if [[ $FAILED -eq 0 ]] && want fleet; then run_fleet || FAILED=1; fi
 if [[ $FAILED -eq 0 ]] && want prefix; then run_prefix || FAILED=1; fi
 if [[ $FAILED -eq 0 ]] && want disagg; then run_disagg || FAILED=1; fi
 if [[ $FAILED -eq 0 ]] && want chaos; then run_chaos || FAILED=1; fi
+if [[ $FAILED -eq 0 ]] && want kernels; then run_kernels || FAILED=1; fi
 if [[ $FAILED -eq 0 ]] && want lint; then run_lint || FAILED=1; fi
 if [[ $FAILED -eq 0 ]] && want tidy; then run_tidy || FAILED=1; fi
 
