@@ -14,6 +14,7 @@
 #include "attention/reference.h"
 #include "attention/turbo.h"
 #include "kernels/fused_decode.h"
+#include "common/cpu_features.h"
 #include "common/fp16.h"
 #include "common/rng.h"
 #include "quant/asymmetric.h"
@@ -189,20 +190,39 @@ void BM_FlashAttentionFp16(benchmark::State& state) {
 }
 BENCHMARK(BM_FlashAttentionFp16)->Arg(256)->Arg(512);
 
-void BM_TurboPrefill(benchmark::State& state) {
+// The prefill tile kernel on the build the CPU selects (AVX2 when it has
+// it) and on the portable build: bit-identical outputs, so the pair's
+// ratio is the SIMD speedup, and TurboPrefill/256 against
+// FlashAttentionFp16/256 is the Turbo/Flash prefill ratio.
+void turbo_prefill_bench(benchmark::State& state, bool avx2) {
+  if (avx2 && !cpu_has_avx2()) {
+    state.SkipWithError("CPU has no AVX2");
+    return;
+  }
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const MatrixF q = random_matrix(n, 64, 9);
   const MatrixF k = random_matrix(n, 64, 10);
   const MatrixF v = random_matrix(n, 64, 11);
   AttentionConfig cfg;
   const Sas sas;
+  TurboPrefillScratch scratch;
+  scratch.avx2 = avx2;
   for (auto _ : state) {
     TurboPrefillResult r =
-        turbo_attention_prefill(q, k, v, cfg, sas, nullptr);
+        turbo_attention_prefill(q, k, v, cfg, sas, nullptr, scratch);
     benchmark::DoNotOptimize(r.o.data());
   }
 }
+
+void BM_TurboPrefill(benchmark::State& state) {
+  turbo_prefill_bench(state, cpu_has_avx2());
+}
 BENCHMARK(BM_TurboPrefill)->Arg(256)->Arg(512);
+
+void BM_TurboPrefillPortable(benchmark::State& state) {
+  turbo_prefill_bench(state, false);
+}
+BENCHMARK(BM_TurboPrefillPortable)->Arg(256)->Arg(512);
 
 void BM_TurboDecode(benchmark::State& state) {
   const std::size_t ctx = static_cast<std::size_t>(state.range(0));

@@ -25,9 +25,15 @@ inline constexpr float kSymmetricHeadroom = 119.0f;
 float symmetric_scale_int8(std::span<const float> values,
                            float headroom = kSymmetricHeadroom);
 
-// q = clamp(round(x / scale), -127, 127).
+// q = clamp(round(x / scale), -127, 127), NaN -> 0. Runs 8 lanes at a
+// time when the CPU has AVX2; both builds return the same codes.
 void quantize_symmetric_int8(std::span<const float> values, float scale,
                              std::span<std::int8_t> out);
+
+// Same on an explicit build, so tests can compare the two: `avx2` selects
+// the AVX2 loop and must only be set on a CPU that has AVX2.
+void quantize_symmetric_int8(std::span<const float> values, float scale,
+                             std::span<std::int8_t> out, bool avx2);
 
 // x^ = q * scale.
 void dequantize_symmetric_int8(std::span<const std::int8_t> q, float scale,
