@@ -388,7 +388,7 @@ int main() {
     t.agentic_fraction = 0.33;
     const auto trace = generate_trace(t);
     auto stripped = trace;  // identical load, no ids => no sharing
-    for (Request& r : stripped) r.prompt_ids.clear();
+    for (Request& r : stripped) r.prompt_ids = {};
     std::printf("trace: %.0f sessions/s for %.0f s (%zu requests "
                 "counting follow-up turns)\n\n",
                 t.arrival_rate, t.duration_s, trace.size());

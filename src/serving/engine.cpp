@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "kvcache/page_allocator.h"
 #include "kvcache/radix_index.h"
+#include "kvcache/retained_pool.h"
 #include "quant/error.h"
 #include "serving/swap.h"
 
@@ -1251,16 +1252,14 @@ class EngineImpl {
   // descendant pages that were themselves retained free with it.
   void reclaim_retained_page(PageId page) {
     for (const PageId q : radix_.erase_page(page)) {
-      const auto it = retained_.find(q);
-      if (it == retained_.end()) continue;
-      retained_.erase(it);
+      if (!retained_.remove(q)) continue;
       allocator_.release(q);
       ++result_.retained_pages_reclaimed;
     }
   }
   void flush_retained() {
     while (!retained_.empty()) {
-      reclaim_retained_page(retained_.begin()->first);
+      reclaim_retained_page(retained_.lowest());
     }
   }
 
@@ -1282,11 +1281,7 @@ class EngineImpl {
         return kInvalidPage;
       }
       if (retained_.empty()) return kInvalidPage;
-      auto lru = retained_.begin();
-      for (auto it = retained_.begin(); it != retained_.end(); ++it) {
-        if (it->second < lru->second) lru = it;
-      }
-      reclaim_retained_page(lru->first);
+      reclaim_retained_page(retained_.oldest());
     }
   }
 
@@ -1297,7 +1292,7 @@ class EngineImpl {
     TURBO_DCHECK(page_ref_[page] > 0);
     if (--page_ref_[page] > 0) return;
     if (radix_.has_page(page)) {
-      retained_.emplace(page, retained_touch_++);
+      retained_.park(page);
     } else {
       allocator_.release(page);
     }
@@ -1306,7 +1301,7 @@ class EngineImpl {
   // Attach an indexed page by refcount bump (the CoW fork path): retained
   // pages leave the pool, referenced pages gain a reference.
   void attach_page(PageId page) {
-    if (page_ref_[page] == 0) retained_.erase(page);
+    if (page_ref_[page] == 0) retained_.remove(page);
     ++page_ref_[page];
     ++result_.prefix_pages_attached;
   }
@@ -1623,10 +1618,8 @@ class EngineImpl {
   // page has ref >= 1 except retained pages (ref == 0, parked below).
   std::vector<std::uint32_t> page_ref_;
   // Registered pages whose last reference died, parked for re-attachment
-  // instead of freed: page -> retention order (the LRU clock). An ordered
-  // map so reclaim scans deterministically (lint rule 8).
-  std::map<PageId, std::size_t> retained_;
-  std::size_t retained_touch_ = 0;
+  // instead of freed; reclaim pops the least recently parked one.
+  RetainedPool retained_;
   FaultInjector fault_;
   std::optional<TieredSwapStore> swap_store_;
   EngineResult result_;

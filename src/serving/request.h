@@ -3,7 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+
+#include "serving/token_ids.h"
 
 namespace turbo::serving {
 
@@ -69,7 +70,8 @@ struct Request {
   // did before prefix sharing existed. When non-empty, size() matches
   // prompt_tokens and admission matches the ids against the radix index
   // to attach resident prefix pages instead of re-prefilling them.
-  std::vector<std::int32_t> prompt_ids;
+  // Immutable and shared: copying a Request copies no ids.
+  TokenIds prompt_ids;
   // Scheduling priority: higher values are preempted last. Ties are
   // broken by arrival order (earlier arrivals are protected). Applied
   // *within* a service class; the class dominates.

@@ -1,6 +1,7 @@
 #include "serving/snapshot.h"
 
 #include <bit>
+#include <utility>
 
 #include "common/check.h"
 #include "common/crc32.h"
@@ -95,12 +96,17 @@ Request read_request(Reader& in) {
   r.prompt_tokens = in.u64();
   r.max_new_tokens = in.u64();
   const std::uint64_t n_ids = in.u64();
-  TURBO_CHECK_MSG(n_ids <= in.bytes.size(),
+  // Bound the count by what is left of the stream before allocating, so a
+  // hostile count cannot ask for more than the stream could hold.
+  TURBO_CHECK_MSG(n_ids <= (in.bytes.size() - in.pos) / 4,
                   "snapshot prompt_ids length exceeds stream");
-  r.prompt_ids.resize(n_ids);
-  for (std::uint64_t i = 0; i < n_ids; ++i) {
-    r.prompt_ids[i] = static_cast<std::int32_t>(in.u32());
-  }
+  TURBO_CHECK_MSG(n_ids == 0 || n_ids == r.prompt_tokens,
+                  "snapshot prompt_ids length " << n_ids
+                      << " is neither 0 nor prompt_tokens "
+                      << r.prompt_tokens);
+  std::vector<std::int32_t> ids(n_ids);
+  for (std::int32_t& t : ids) t = static_cast<std::int32_t>(in.u32());
+  r.prompt_ids = std::move(ids);
   r.priority = static_cast<int>(in.i64());
   r.service_class = static_cast<ServiceClass>(in.u32());
   r.ttft_deadline_s = in.f64();

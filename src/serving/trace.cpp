@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -106,8 +107,10 @@ std::vector<Request> generate_trace(const TraceConfig& config) {
       }
     }
     fresh_ids(history, r.prompt_tokens - history.size());
-    r.prompt_ids = history;
     trace.push_back(r);
+    // Turn k's ids are a prefix of turn k+1's: the history is stored once
+    // and each turn (by trace index) gets a prefix view of it.
+    std::vector<std::size_t> turns = {trace.size() - 1};
 
     if (config.session_turns > 1) {
       // Agentic loops are tool-call cycles: tiny fixed tool-result turns,
@@ -143,12 +146,19 @@ std::vector<Request> generate_trace(const TraceConfig& config) {
         Request follow = r;  // inherits class and deadlines
         follow.id = id++;
         follow.arrival_s = turn_t;
-        follow.prompt_ids = history;
         follow.prompt_tokens = history.size();
         follow.max_new_tokens = gen_tokens;
         trace.push_back(follow);
+        turns.push_back(trace.size() - 1);
         prev_gen = gen_tokens;
       }
+    }
+    // A turn cut off by max_prompt leaves unused reply ids at the tail.
+    history.resize(trace[turns.back()].prompt_tokens);
+    history.shrink_to_fit();
+    const TokenIds session(std::move(history));
+    for (const std::size_t i : turns) {
+      trace[i].prompt_ids = session.prefix(trace[i].prompt_tokens);
     }
   }
   if (sessions) {

@@ -17,8 +17,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/fault.h"
 #include "fleet/chaos.h"
 #include "fleet/metrics.h"
@@ -154,7 +158,12 @@ ReplicaSnapshot sample_snapshot() {
   r.arrival_s = 1.25;
   r.prompt_tokens = 96;
   r.max_new_tokens = 64;
-  r.prompt_ids = {7, 11, 13, 17};
+  // One id per prompt token: a snapshot carries either none or all of them.
+  std::vector<std::int32_t> ids(r.prompt_tokens);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = 7 + 4 * static_cast<std::int32_t>(i);
+  }
+  r.prompt_ids = std::move(ids);
   r.service_class = serving::ServiceClass::kInteractive;
   r.ttft_deadline_s = 2.5;
   r.prefill_start_s = 1.5;
@@ -209,6 +218,66 @@ TEST(SnapshotCodecTest, FlippedByteFailsTheCrc) {
   // Flip one payload byte: the trailing CRC-32 must catch it.
   bytes[bytes.size() / 2] ^= 0x01;
   EXPECT_THROW(serving::deserialize_snapshot(bytes), turbo::IntegrityError);
+}
+
+// Byte offsets in a serialized sample_snapshot(): the header (magic,
+// version, replica, taken_at, entry count) is 32 bytes, then the first
+// request's id, arrival, prompt_tokens, max_new_tokens and id count.
+constexpr std::size_t kFirstPromptTokensAt = 48;
+constexpr std::size_t kFirstIdCountAt = 64;
+
+void overwrite_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
+                   std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+// Rewrite the trailing CRC-32 so a hand-edited stream passes the integrity
+// check and reaches the decoder: what a hostile writer could produce.
+void reseal(std::vector<std::uint8_t>& bytes) {
+  const std::uint32_t crc = crc32(
+      std::span<const std::uint8_t>(bytes.data(), bytes.size() - 4));
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[bytes.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+}
+
+std::string decode_error(const std::vector<std::uint8_t>& bytes) {
+  try {
+    (void)serving::deserialize_snapshot(bytes);
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SnapshotCodecTest, ResealingAnUntouchedStreamChangesNothing) {
+  const std::vector<std::uint8_t> bytes =
+      serving::serialize_snapshot(sample_snapshot());
+  std::vector<std::uint8_t> resealed = bytes;
+  reseal(resealed);
+  EXPECT_EQ(resealed, bytes);
+}
+
+TEST(SnapshotCodecTest, IdCountPastTheRestOfTheStreamIsRejected) {
+  std::vector<std::uint8_t> bytes =
+      serving::serialize_snapshot(sample_snapshot());
+  // Within the whole stream's size, but more ids than the bytes left
+  // after the count could hold: rejected before anything is allocated.
+  overwrite_u64(bytes, kFirstIdCountAt, bytes.size() / 2);
+  reseal(bytes);
+  EXPECT_NE(decode_error(bytes).find("exceeds stream"), std::string::npos);
+}
+
+TEST(SnapshotCodecTest, IdCountThatDisagreesWithThePromptIsRejected) {
+  std::vector<std::uint8_t> bytes =
+      serving::serialize_snapshot(sample_snapshot());
+  // 96 ids against a 95-token prompt: neither none nor one per token.
+  overwrite_u64(bytes, kFirstPromptTokensAt, 95);
+  reseal(bytes);
+  EXPECT_NE(decode_error(bytes).find("neither 0 nor prompt_tokens"),
+            std::string::npos);
 }
 
 // --- snapshot store fault hooks -------------------------------------------

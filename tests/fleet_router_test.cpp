@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/fault.h"
@@ -285,10 +286,11 @@ Request ids_request(std::uint64_t id, double arrival, std::int32_t first_id,
   r.prompt_tokens = prompt;
   r.max_new_tokens = gen;
   r.service_class = ServiceClass::kInteractive;
-  r.prompt_ids.resize(prompt);
+  std::vector<std::int32_t> ids(prompt);
   for (std::size_t i = 0; i < prompt; ++i) {
-    r.prompt_ids[i] = first_id + static_cast<std::int32_t>(i);
+    ids[i] = first_id + static_cast<std::int32_t>(i);
   }
+  r.prompt_ids = std::move(ids);
   return r;
 }
 

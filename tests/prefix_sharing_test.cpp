@@ -16,11 +16,13 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <numeric>
 #include <vector>
 
 #include "kvcache/paged_cache.h"
 #include "kvcache/radix_index.h"
+#include "kvcache/retained_pool.h"
 #include "kvcache/serialization.h"
 #include "quant/symmetric.h"
 #include "serving/engine.h"
@@ -123,6 +125,52 @@ TEST(RadixIndexTest, ErasePageCascadesThroughSubtree) {
   EXPECT_EQ(rest[1], 7u);
   EXPECT_EQ(idx.size(), 0u);
   EXPECT_TRUE(idx.match(trunk).empty());
+}
+
+// --- Retained pool -----------------------------------------------------------
+
+// The pool against the scan it replaced: a page -> park-tick map whose
+// victim is found by walking every entry for the smallest tick.
+TEST(RetainedPoolTest, MatchesABruteForceScanOverASeededSequence) {
+  RetainedPool pool;
+  std::map<PageId, std::size_t> scan;
+  std::size_t clock = 0;
+  Rng rng(0x5EED);
+  std::size_t parks = 0, attaches = 0, reclaims = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const double op = rng.uniform();
+    const auto page = static_cast<PageId>(rng.uniform_index(64));
+    if (op < 0.5) {
+      // Insert: a page's last reference dies while it is still indexed.
+      if (scan.count(page) > 0) continue;
+      pool.park(page);
+      scan.emplace(page, clock++);
+      ++parks;
+    } else if (op < 0.75) {
+      // Attach: a prompt re-adopts the page (a miss is fine).
+      const bool had = scan.erase(page) > 0;
+      EXPECT_EQ(pool.remove(page), had);
+      if (had) ++attaches;
+    } else if (!scan.empty()) {
+      // Reclaim: the allocator takes the least recently parked page.
+      auto lru = scan.begin();
+      for (auto it = scan.begin(); it != scan.end(); ++it) {
+        if (it->second < lru->second) lru = it;
+      }
+      ASSERT_EQ(pool.oldest(), lru->first) << "step " << step;
+      EXPECT_EQ(pool.lowest(), scan.begin()->first);
+      EXPECT_TRUE(pool.remove(lru->first));
+      scan.erase(lru);
+      ++reclaims;
+    }
+    ASSERT_EQ(pool.size(), scan.size());
+  }
+  EXPECT_GT(parks, 1000u);
+  EXPECT_GT(attaches, 100u);
+  EXPECT_GT(reclaims, 500u);
+  pool.remove(7);
+  pool.park(7);
+  EXPECT_THROW(pool.park(7), CheckError);
 }
 
 // --- Paged cache: prefix attach + CoW charging ------------------------------
@@ -465,7 +513,7 @@ TEST(EnginePrefixTest, SessionTracePrefillsLessAndReferencesFewerPages) {
   const std::vector<Request> trace =
       serving::generate_trace(session_trace());
   std::vector<Request> stripped = trace;
-  for (Request& q : stripped) q.prompt_ids.clear();
+  for (Request& q : stripped) q.prompt_ids = {};
 
   const EngineConfig cfg = prefix_engine();
   const EngineResult with = run_engine(cfg, trace);

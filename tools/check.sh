@@ -19,6 +19,8 @@
 #   tools/check.sh prefix     # prefix-sharing suite (ctest -L prefix) in
 #                             # all three builds (radix index, CoW attach,
 #                             # session traces, retained-pool reclaim)
+#                             # plus a cross-lane diff of a seeded session
+#                             # serve with a crash and snapshot restore
 #   tools/check.sh disagg     # disaggregation suite (ctest -L disagg) in
 #                             # all three builds (role split, prefill->
 #                             # decode handoff, backpressure, degrade)
@@ -165,16 +167,36 @@ run_prefix() {
   # bit-deterministic per seed across all three lanes — the suite's
   # seeded session run is asserted bit-identical in Release, ASan+UBSan
   # and TSan, extending the fleet stage's determinism contract to the
-  # radix-shared KV path.
-  cmake --preset release || return 1
-  cmake --build --preset release -j "$JOBS" --target prefix_sharing_test || return 1
-  ctest --test-dir build-release -L prefix --output-on-failure || return 1
-  cmake --preset debug-asan-ubsan || return 1
-  cmake --build --preset debug-asan-ubsan -j "$JOBS" --target prefix_sharing_test || return 1
-  ctest --test-dir build-asan-ubsan -L prefix --output-on-failure || return 1
-  cmake --preset debug-tsan || return 1
-  cmake --build --preset debug-tsan -j "$JOBS" --target prefix_sharing_test || return 1
-  ctest --test-dir build-tsan -L prefix --output-on-failure || return 1
+  # radix-shared KV path. Beyond the ctest suite, one seeded session serve
+  # that reclaims retained pages, crashes a replica and restores it from a
+  # snapshot (so shared prompt ids pass through the snapshot codec) runs
+  # through the CLI in every lane, and the full stdout is diffed.
+  local session_args=(serve --model phi3-mini --device a100-pcie
+                      --method turbo --bits 4 --headroom 0.35 --rate 8
+                      --duration 20 --seed 31 --replicas 2
+                      --route affinity --sessions 4 --shared-prefix 512
+                      --shared-frac 0.8 --session-gap 1.0
+                      --agentic-frac 0.4 --replica-crash 1:8,0.5
+                      --snapshot-interval 1)
+  local lane
+  for lane in release debug-asan-ubsan debug-tsan; do
+    local dir="build-${lane#debug-}"
+    cmake --preset "$lane" || return 1
+    cmake --build --preset "$lane" -j "$JOBS" \
+      --target prefix_sharing_test token_ids_test turbo_cli || return 1
+    ctest --test-dir "$dir" -L prefix --output-on-failure || return 1
+    "./$dir/tools/turbo_cli" "${session_args[@]}" \
+      > "$dir/session_run.txt" || return 1
+  done
+  diff build-release/session_run.txt build-asan-ubsan/session_run.txt || {
+    echo "prefix: seeded session run differs between Release and ASan+UBSan" >&2
+    return 1
+  }
+  diff build-release/session_run.txt build-tsan/session_run.txt || {
+    echo "prefix: seeded session run differs between Release and TSan" >&2
+    return 1
+  }
+  echo "prefix: seeded session run is byte-identical across all three lanes"
 }
 
 run_disagg() {
